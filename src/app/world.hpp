@@ -4,8 +4,9 @@
 // with WiFi and LTE interfaces, a wired server reachable over both paths,
 // the access/WAN link chains, the contended WiFi channel, the device
 // radios and the energy tracker. Scenario (single-connection figure runs)
-// and workload::ClientFleet (multi-flow populations) both instantiate one
-// World per (config, seed) and drive their own applications inside it.
+// instantiates one World per (config, seed); workload::ShardedFleet
+// (multi-flow populations) one per cell. Each drives its own applications
+// inside it.
 //
 // The client-connection factory lives here too: make_client() returns the
 // protocol-appropriate ClientConnHandle (plain TCP, MPTCP, eMPTCP,

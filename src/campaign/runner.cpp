@@ -205,10 +205,9 @@ std::string CampaignRunner::run_cell(const CampaignCell& cell) {
   cfg.clients = cell.fleet_size;
   cfg.scenario.trace = true;
 
-  // Dispatches on cell structure: clients_per_cell == 0 runs the classic
-  // single-World ClientFleet, anything else the sharded engine. Either
-  // way the artifacts are a pure function of (cfg, seed) — the shard
-  // count never leaks into them.
+  // One driver for every cell structure (clients_per_cell == 0 is a
+  // single cell). The artifacts are a pure function of (cfg, seed) — the
+  // shard count never leaks into them.
   workload::FleetMetrics m;
   {
     // One span per cell (interned: the label must outlive this frame —
@@ -218,7 +217,7 @@ std::string CampaignRunner::run_cell(const CampaignCell& cell) {
       span.emplace(
           runtime::Telemetry::instance().intern("cell " + cell.label));
     }
-    m = workload::run_fleet(cfg, cell.derived_seed);
+    m = workload::ShardedFleet(cfg).run(cell.derived_seed);
   }
 
   const std::string jsonl =

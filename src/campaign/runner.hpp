@@ -1,9 +1,9 @@
 // Campaign execution: the grid, the artifacts, and the resume ledger.
 //
-// Each cell (protocol, fleet size, seed) runs one fleet simulation —
-// single-World ClientFleet, or the sharded multi-cell engine when the
-// spec sets `sharding.clients_per_cell` — and writes the standard
-// artifact pair — `<label>.jsonl` trace plus
+// Each cell (protocol, fleet size, seed) runs one fleet simulation on
+// workload::ShardedFleet — one cell holding every client, or several
+// cells when the spec sets `sharding.clients_per_cell` — and writes the
+// standard artifact pair — `<label>.jsonl` trace plus
 // `<label>.manifest.json` — into the output directory, exactly the format
 // the benches emit under EMPTCP_TRACE_DIR and `emptcp-report` consumes.
 //

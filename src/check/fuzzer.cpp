@@ -10,6 +10,7 @@
 #include "net/packet_pool.hpp"
 #include "runtime/replication.hpp"
 #include "stats/trace_export.hpp"
+#include "workload/sharded_fleet.hpp"
 
 namespace emptcp::check {
 namespace {
@@ -238,17 +239,7 @@ RunOutcome run_protocol(const FuzzScenario& sc, app::Protocol protocol,
              });
   }
 
-  const std::size_t budget = cfg.total_flows();
-  app::advance_until(
-      w,
-      [&] {
-        if (cfg.mode == workload::FleetConfig::Mode::kOpen) {
-          return fleet.arrivals_done() &&
-                 fleet.flows_completed() >= fleet.flows_started();
-        }
-        return budget != 0 && fleet.flows_completed() >= budget;
-      },
-      cfg.scenario.max_sim_time);
+  fleet.run_to_completion();
   workload::FleetMetrics m = fleet.finish();
   const app::RunMetrics& rm = m.run;
 

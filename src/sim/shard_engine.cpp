@@ -182,11 +182,28 @@ void ShardEngine::ensure_started() {
     throw std::logic_error("ShardEngine::run_until: no places registered");
   }
   started_ = true;
-  std::size_t parties = std::min(shards_, places_.size());
-  if (parties == 0) parties = 1;
-  pool_ = std::make_unique<runtime::ThreadPool>(parties);
+  parties_ = std::max<std::size_t>(std::min(shards_, places_.size()), 1);
+  if (parties_ == 1) return;  // epochs run on the caller's thread
+  pool_ = std::make_unique<runtime::ThreadPool>(parties_);
   group_ = std::make_unique<runtime::EpochGroup>(
-      *pool_, parties, [this](std::size_t party) { run_phase(party); });
+      *pool_, parties_, [this](std::size_t party) { run_phase(party); });
+}
+
+void ShardEngine::run_parties(Phase phase) {
+  phase_ = phase;
+  if (group_) {
+    group_->run();
+    return;
+  }
+  if (!runtime::Telemetry::enabled()) {
+    run_phase(0);
+    return;
+  }
+  const auto t0 = std::chrono::steady_clock::now();
+  run_phase(0);
+  solo_busy_s_ +=
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+          .count();
 }
 
 std::size_t ShardEngine::run_until(Time stop,
@@ -211,15 +228,13 @@ std::size_t ShardEngine::run_until(Time stop,
       }
       break;
     }
-    const Duration window = partition_.min_lookahead();
+    const Duration window = edges_.empty() && done_at_barrier
+                                ? kDonePollPeriod
+                                : partition_.min_lookahead();
     bound_ = std::min(sat_add(earliest, window), sat_add(stop, 1));
     const Time prev_now = now_;
-    phase_ = Phase::kExec;
-    group_->run();
-    if (!edges_.empty()) {
-      phase_ = Phase::kDrain;
-      group_->run();
-    }
+    run_parties(Phase::kExec);
+    if (!edges_.empty()) run_parties(Phase::kDrain);
     apply_pending_lookaheads();
     now_ = bound_ - 1;
     ++epochs_;
@@ -267,9 +282,8 @@ void ShardEngine::account_epoch(Time prev_now) {
 }
 
 void ShardEngine::run_phase(std::size_t party) {
-  const std::size_t parties = group_->parties();
   const bool wall = runtime::Telemetry::enabled();
-  for (std::size_t i = party; i < places_.size(); i += parties) {
+  for (std::size_t i = party; i < places_.size(); i += parties_) {
     if (phase_ == Phase::kExec) {
       PlaceState& place = places_[i];
       if (!wall) {
@@ -388,6 +402,8 @@ ShardEnginePerf ShardEngine::perf() const {
     for (const runtime::EpochGroup::PartyStats& s : group_->party_stats()) {
       perf.parties.push_back(ShardEnginePerf::Party{s.busy_s, s.wait_s});
     }
+  } else if (started_) {
+    perf.parties.push_back(ShardEnginePerf::Party{solo_busy_s_, 0.0});
   }
   return perf;
 }

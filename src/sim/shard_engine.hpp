@@ -29,8 +29,10 @@
 // Threading contract: between run_until calls the caller owns all places;
 // inside an epoch each place is touched only by its assigned party, and
 // the EpochGroup barrier provides the happens-before edges between phases.
-// post() may only be called from the posting edge's source place (i.e.
-// from within its event execution).
+// An engine with a single party (one shard, or one place) runs its epochs
+// on the calling thread and never starts a pool. post() may only be called
+// from the posting edge's source place (i.e. from within its event
+// execution).
 #pragma once
 
 #include <cstddef>
@@ -169,7 +171,9 @@ class ShardEngine {
 
   /// Advances every place to `stop` (inclusive, like Scheduler::run_until).
   /// `done_at_barrier` is evaluated on the driver thread at every epoch
-  /// barrier; returning true ends the run early. Returns events executed.
+  /// barrier; returning true ends the run early. Without edges there is no
+  /// lookahead to bound an epoch, so while a predicate is given epochs
+  /// last at most kDonePollPeriod of virtual time. Returns events executed.
   std::size_t run_until(Time stop,
                         const std::function<bool()>& done_at_barrier = {});
 
@@ -221,7 +225,11 @@ class ShardEngine {
     const char* span_name = nullptr;  ///< interned "exec <place>" label
   };
 
+  /// Epoch length bound for done_at_barrier polling on an edgeless engine.
+  static constexpr Duration kDonePollPeriod = milliseconds(200);
+
   void ensure_started();
+  void run_parties(Phase phase);
   void run_phase(std::size_t party);
   void exec_place(PlaceState& place);
   void drain_place(std::size_t place_index);
@@ -232,8 +240,10 @@ class ShardEngine {
   std::vector<PlaceState> places_;
   std::vector<EdgeState> edges_;
   std::size_t shards_ = 1;
-  std::unique_ptr<runtime::ThreadPool> pool_;
-  std::unique_ptr<runtime::EpochGroup> group_;
+  std::size_t parties_ = 1;
+  std::unique_ptr<runtime::ThreadPool> pool_;   ///< null with one party
+  std::unique_ptr<runtime::EpochGroup> group_;  ///< null with one party
+  double solo_busy_s_ = 0.0;  ///< one-party wall time, telemetry only
 
   Time now_ = kTimeZero;
   Time bound_ = kTimeZero;  ///< exclusive end of the epoch in flight

@@ -1,27 +1,28 @@
-// ClientFleet: a population of concurrent connections in one simulation.
+// Fleet workloads: a population of concurrent connections, described by a
+// FleetConfig and reported as per-flow FlowRecords plus FleetMetrics.
 //
 // Scales the paper's single-connection testbed to N independent clients
-// (each its own eMPTCP / baseline-TCP connection) contending on the shared
-// WiFi/LTE bottlenecks of one World. Two driving disciplines:
+// (each its own eMPTCP / baseline-TCP connection) contending on shared
+// WiFi/LTE bottlenecks. Two driving disciplines:
 //   * closed loop — each client cycles request -> download -> think ->
 //     next request, the classic closed queueing model for user sessions;
 //   * open loop — an arrival process (Poisson / deterministic / trace)
 //     injects flows regardless of completions, the load model for
 //     aggregate-traffic experiments.
 //
-// Every flow issues a fresh connection against the shared FileServer with
-// a sampled size, and its completion yields a FlowRecord (FCT + estimated
-// energy share). Records feed the trace sink as flow_start/flow_complete
-// events, so campaign rollups rebuild per-flow FCT and energy-per-bit
+// Every flow issues a fresh connection against a FileServer with a sampled
+// size, and its completion yields a FlowRecord (FCT + estimated energy
+// share). Records feed the trace sink as flow_start/flow_complete events,
+// so campaign rollups rebuild per-flow FCT and energy-per-bit
 // distributions (analysis::LogHistogram) from the serialized trace alone.
 //
-// Determinism: all draws come from the World's seeded Rng in simulation
-// order, so fleet output is a pure function of (config, seed) — the same
-// guarantee single runs have, preserved under parallel replication.
+// One driver runs every fleet: workload::ShardedFleet
+// (sharded_fleet.hpp), which partitions the clients into cells; the
+// unsharded fleet is its one-cell case (ClientFleet). Output is a pure
+// function of (config, seed).
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <vector>
 
@@ -30,12 +31,6 @@
 #include "app/scenario.hpp"
 #include "workload/distributions.hpp"
 
-namespace emptcp::app {
-struct World;
-class FileServer;
-class ClientConnHandle;
-}  // namespace emptcp::app
-
 namespace emptcp::workload {
 
 /// How a fleet is partitioned across ShardEngine places (workload::
@@ -43,7 +38,7 @@ namespace emptcp::workload {
 /// (clients_per_cell, cross_every, backbone parameters); `shards` only
 /// maps cells onto worker threads and never changes any output byte.
 struct ShardingConfig {
-  /// Clients hosted per cell; 0 = unsharded (single-World ClientFleet).
+  /// Clients hosted per cell; 0 = one cell holding every client.
   std::size_t clients_per_cell = 0;
   /// Worker threads executing the cells (0 = EMPTCP_JOBS-derived default).
   std::size_t shards = 1;
@@ -105,64 +100,10 @@ struct FleetMetrics {
   std::uint64_t flows_completed = 0;
   analysis::LogHistogram fct_hist;      ///< completed-flow FCT (seconds)
   analysis::LogHistogram epb_hist;      ///< completed-flow energy (µJ/bit)
-  /// Engine telemetry sidecar (sharded runs with runtime::Telemetry
-  /// enabled only). Wall-clock data: never serialized into deterministic
+  /// Engine telemetry sidecar (runs with runtime::Telemetry enabled
+  /// only). Wall-clock data: never serialized into deterministic
   /// artifacts — campaign/bench writers route it to EMPTCP_PERF_DIR.
   std::optional<analysis::PerfDoc> perf;
-};
-
-class ClientFleet {
- public:
-  explicit ClientFleet(FleetConfig cfg);
-  ~ClientFleet();
-
-  ClientFleet(const ClientFleet&) = delete;
-  ClientFleet& operator=(const ClientFleet&) = delete;
-
-  /// Runs the whole fleet to completion (flow budgets exhausted or
-  /// scenario.max_sim_time reached) and collects.
-  FleetMetrics run(std::uint64_t seed);
-
-  // Incremental driving, for harnesses that measure steady state
-  // (bench_micro): start() builds the world and launches the workload,
-  // run_until() advances, finish() collects. run() is the composition.
-  void start(std::uint64_t seed);
-  void run_until(double t_s);
-  FleetMetrics finish();
-
-  [[nodiscard]] app::World& world();
-  [[nodiscard]] std::uint64_t flows_started() const { return started_; }
-  [[nodiscard]] std::uint64_t flows_completed() const { return completed_; }
-  /// Open loop: no further arrivals are coming (closed loop: always false;
-  /// its done-condition is the flow budget). Exposed for external drivers
-  /// that replicate run()'s termination predicate, e.g. the fuzzer.
-  [[nodiscard]] bool arrivals_done() const { return arrivals_done_; }
-
- private:
-  struct Session;  ///< one closed-loop client's cycle state
-
-  void launch_flow(std::uint32_t client_index);
-  void on_flow_done(std::uint32_t flow_id);
-  void schedule_next_arrival();
-  [[nodiscard]] bool budget_left() const;
-
-  FleetConfig cfg_;
-  std::unique_ptr<app::World> world_;
-  std::unique_ptr<app::FileServer> server_;
-  std::vector<Session> sessions_;
-  std::vector<FlowRecord> records_;
-  // Flow handles stay alive until finish(): completion callbacks run on
-  // the connection's own stack, so destroying there would be use-after-free.
-  std::vector<std::unique_ptr<app::ClientConnHandle>> handles_;
-  // Energy/byte baselines captured at each flow's start, indexed by flow id
-  // (parallel to records_), for the overlap-weighted attribution.
-  std::vector<double> energy_at_start_;
-  std::vector<std::uint64_t> rx_at_start_;
-  std::uint64_t started_ = 0;
-  std::uint64_t completed_ = 0;
-  std::size_t arrivals_issued_ = 0;
-  double last_arrival_s_ = 0.0;
-  bool arrivals_done_ = false;  ///< open loop: no further arrivals coming
 };
 
 }  // namespace emptcp::workload

@@ -1,8 +1,10 @@
-// ShardedFleet: one fleet simulation partitioned into cells and executed
-// concurrently on a conservative ShardEngine.
+// ShardedFleet: the fleet driver. One fleet simulation partitioned into
+// cells and executed on a conservative ShardEngine.
 //
 // The fleet's client population is split into C cells of up to
-// clients_per_cell clients. Each cell is a full World (its own Simulation,
+// clients_per_cell clients (clients_per_cell = 0: one cell holding every
+// client, no backbone — the unsharded fleet, also reachable as
+// ClientFleet). Each cell is a full World (its own Simulation,
 // WiFi channel, radios, tracker and FileServer) registered as one engine
 // place; adjacent cells are coupled by a backbone ring of CrossShardLinks
 // (cell i -> i+1 carries requests, cell i -> i-1 carries responses), and
@@ -28,10 +30,17 @@
 
 #include <cstdint>
 #include <memory>
+#include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/shard_engine.hpp"
 #include "workload/fleet.hpp"
+
+namespace emptcp::app {
+struct World;
+}  // namespace emptcp::app
 
 namespace emptcp::net {
 class CrossShardLink;
@@ -52,14 +61,19 @@ class ShardedFleet {
   ShardedFleet& operator=(const ShardedFleet&) = delete;
 
   /// Runs the whole fleet to completion (flow budgets exhausted or
-  /// scenario.max_sim_time reached) and collects merged metrics.
+  /// scenario.max_sim_time reached) and collects merged metrics:
+  /// start(), run_to_completion(), finish().
   FleetMetrics run(std::uint64_t seed);
 
-  // Incremental driving (bench_fleet_scale measures steady-state windows):
-  // start() builds cells + backbone and launches the workload, run_until()
-  // advances all cells to t_s, finish() merges and collects.
+  // Incremental driving: start() builds cells + backbone and launches the
+  // workload; run_until() advances all cells to t_s (benches measuring
+  // steady-state windows), run_to_completion() until every flow finished
+  // or scenario.max_sim_time (drivers that attach oracles or schedule
+  // faults between start and the run, e.g. the fuzzer); finish() drains
+  // radio tails, merges and collects.
   void start(std::uint64_t seed);
   void run_until(double t_s);
+  void run_to_completion();
   FleetMetrics finish();
 
   [[nodiscard]] std::size_t cell_count() const { return cells_.size(); }
@@ -92,8 +106,21 @@ class ShardedFleet {
   std::unique_ptr<core::EnergyInfoBase> eib_;  ///< shared across cells
 };
 
-/// Dispatch: ShardedFleet when cfg.sharding.clients_per_cell != 0, plain
-/// single-World ClientFleet otherwise.
-FleetMetrics run_fleet(const FleetConfig& cfg, std::uint64_t seed);
+/// The unsharded fleet: a ShardedFleet of exactly one cell, with world()
+/// naming that cell's World. Holds no logic of its own.
+class ClientFleet : public ShardedFleet {
+ public:
+  explicit ClientFleet(FleetConfig cfg)
+      : ShardedFleet(one_cell(std::move(cfg))) {}
+  [[nodiscard]] app::World& world() { return cell_world(0); }
+
+ private:
+  static FleetConfig one_cell(FleetConfig cfg) {
+    if (cfg.cell_count() == 1) return cfg;
+    throw std::invalid_argument(
+        "ClientFleet: config partitions into " +
+        std::to_string(cfg.cell_count()) + " cells; use ShardedFleet");
+  }
+};
 
 }  // namespace emptcp::workload

@@ -12,6 +12,7 @@
 #include <cstring>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "sim/simulation.hpp"
@@ -220,9 +221,8 @@ TEST(ShardEngineTest, DoneAtBarrierStopsEarly) {
   Simulation a(1);
   ShardEngine eng(1);
   eng.add_place(a, "a");
-  // Without edges the first epoch runs to the stop bound, so completion
-  // predicates are only consulted between epochs — give the topology an
-  // edge to bound the window.
+  // Completion predicates are consulted between epochs; here an edge's
+  // lookahead bounds the window (the edgeless case is tested below).
   Simulation b(2);
   const std::size_t pb = eng.add_place(b, "b");
   RecordingSink sink;
@@ -237,6 +237,36 @@ TEST(ShardEngineTest, DoneAtBarrierStopsEarly) {
   EXPECT_GE(count, 10);
   EXPECT_LT(count, 100);  // stopped well before the stop time
   EXPECT_LT(eng.now(), seconds(1));
+}
+
+TEST(ShardEngineTest, EdgelessEnginePollsDonePredicate) {
+  // No edge bounds the window, so without polling the first epoch would
+  // run to the stop time before the predicate is ever consulted.
+  Simulation a(1);
+  ShardEngine eng(1);
+  eng.add_place(a, "solo");
+  int count = 0;
+  for (int i = 1; i <= 10'000; ++i) {
+    a.at(milliseconds(i), [&] { ++count; });
+  }
+  eng.run_until(seconds(100), [&] { return count >= 10; });
+  EXPECT_GE(count, 10);
+  EXPECT_LE(count, 210);  // at most one 200 ms poll period past the 10th
+  EXPECT_LT(eng.now(), milliseconds(300));
+}
+
+TEST(ShardEngineTest, OnePartyRunsOnTheCallersThread) {
+  // One place leaves one party whatever the shard count: its epochs run
+  // on the calling thread, with no pool hand-off per epoch.
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
+    Simulation a(1);
+    ShardEngine eng(shards);
+    eng.add_place(a, "solo");
+    std::thread::id ran_on;
+    a.at(milliseconds(1), [&] { ran_on = std::this_thread::get_id(); });
+    eng.run_until(seconds(1));
+    EXPECT_EQ(ran_on, std::this_thread::get_id()) << "shards=" << shards;
+  }
 }
 
 TEST(ShardEngineTest, PostBeforeFirstRunThrows) {

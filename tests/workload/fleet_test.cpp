@@ -3,7 +3,7 @@
 // Exercises the Node 4-tuple demux and PacketPool slot reuse under fleet
 // load (>= 64 simultaneous flows), the per-flow record/histogram pipeline,
 // and the determinism contract for whole fleets.
-#include "workload/fleet.hpp"
+#include "workload/sharded_fleet.hpp"
 
 #include <gtest/gtest.h>
 

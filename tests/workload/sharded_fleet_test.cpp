@@ -10,12 +10,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <memory>
 #include <set>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "app/fast_path.hpp"
 #include "app/world.hpp"
 #include "check/oracle.hpp"
 #include "runtime/telemetry.hpp"
@@ -42,6 +44,14 @@ FleetConfig sharded_config(std::size_t shards) {
   // second one fetch from the neighbour cell over the backbone.
   cfg.sharding.cross_every = 2;
   return cfg;
+}
+
+/// The value of a trace metric by name; NaN when the run did not emit it.
+double metric(const FleetMetrics& m, const std::string& name) {
+  for (const auto& s : m.run.trace_metrics) {
+    if (s.name == name) return s.value;
+  }
+  return std::nan("");
 }
 
 std::string run_and_serialize(std::size_t shards, FleetMetrics* out = nullptr) {
@@ -79,6 +89,9 @@ TEST(ShardedFleetTest, AllFlowsCompleteAcrossCellsIncludingCrossTraffic) {
   // remote: the backbone must have carried real traffic.
   EXPECT_GT(fleet.engine().cross_messages(), 0u);
   EXPECT_GT(fleet.engine().epochs(), 0u);
+
+  // The cell structure is recorded in the artifact (the shard count never).
+  EXPECT_DOUBLE_EQ(metric(m, "fleet.cells"), 4.0);
 }
 
 TEST(ShardedFleetTest, OutputsAreByteIdenticalForAnyShardCount) {
@@ -175,26 +188,38 @@ TEST(ShardedFleetTest, ZeroBackboneDelayIsRejectedLoudly) {
   EXPECT_THROW(fleet.run(3), std::invalid_argument);
 }
 
-TEST(ShardedFleetTest, RunFleetDispatchesOnCellStructure) {
-  // clients_per_cell == 0: the classic single-World ClientFleet path.
-  FleetConfig plain = sharded_config(1);
-  plain.scenario.trace = false;
-  plain.sharding.clients_per_cell = 0;
-  const FleetMetrics mp = run_fleet(plain, 5);
-  EXPECT_EQ(mp.flows_completed, 8u);
+TEST(ShardedFleetTest, ClientFleetIsTheOneCellShardedFleet) {
+  // clients_per_cell == 0: one cell holding every client. ClientFleet adds
+  // nothing but a name for that cell's World, so both drivers must produce
+  // the same bytes.
+  FleetConfig cfg = sharded_config(1);
+  cfg.sharding.clients_per_cell = 0;
+  cfg.sharding.cross_every = 0;
+  ClientFleet plain(cfg);
+  ShardedFleet sharded(cfg);
+  const FleetMetrics mp = plain.run(5);
+  const FleetMetrics ms = sharded.run(5);
 
-  // Non-zero: the sharded path (observable via the fleet.cells gauge).
-  FleetConfig sharded = sharded_config(1);
-  const FleetMetrics ms = run_fleet(sharded, 5);
-  EXPECT_EQ(ms.flows_completed, 8u);
-  bool saw_cells = false;
-  for (const auto& s : ms.run.trace_metrics) {
-    if (s.name == "fleet.cells") {
-      saw_cells = true;
-      EXPECT_DOUBLE_EQ(s.value, 4.0);
-    }
+  EXPECT_EQ(sharded.cell_count(), 1u);
+  EXPECT_EQ(&plain.world(), &plain.cell_world(0));
+  EXPECT_EQ(mp.flows_completed, 8u);
+  EXPECT_EQ(stats::trace_to_jsonl(mp.run.trace_events, mp.run.trace_metrics),
+            stats::trace_to_jsonl(ms.run.trace_events, ms.run.trace_metrics));
+  ASSERT_EQ(mp.flows.size(), ms.flows.size());
+  for (std::size_t i = 0; i < mp.flows.size(); ++i) {
+    EXPECT_EQ(mp.flows[i].id, ms.flows[i].id);
+    EXPECT_EQ(mp.flows[i].client, ms.flows[i].client);
+    EXPECT_EQ(mp.flows[i].bytes, ms.flows[i].bytes);
+    EXPECT_EQ(mp.flows[i].delivered, ms.flows[i].delivered);
+    EXPECT_EQ(mp.flows[i].start_s, ms.flows[i].start_s);
+    EXPECT_EQ(mp.flows[i].end_s, ms.flows[i].end_s);
+    EXPECT_EQ(mp.flows[i].energy_j_est, ms.flows[i].energy_j_est);
   }
-  EXPECT_TRUE(saw_cells);
+  EXPECT_DOUBLE_EQ(metric(mp, "fleet.cells"), 1.0);
+}
+
+TEST(ShardedFleetTest, ClientFleetRejectsMultiCellConfigs) {
+  EXPECT_THROW(ClientFleet{sharded_config(1)}, std::invalid_argument);
 }
 
 TEST(ShardedFleetTest, TelemetryOnNeverChangesAnOutputByte) {
@@ -242,6 +267,64 @@ TEST(ShardedFleetTest, SingleCellFleetNeedsNoBackbone) {
   EXPECT_EQ(fleet.cell_count(), 1u);
   EXPECT_EQ(m.flows_completed, 8u);
   EXPECT_EQ(fleet.engine().cross_messages(), 0u);
+  EXPECT_DOUBLE_EQ(metric(m, "fleet.cells"), 1.0);
+
+  // Without a backbone there is no lookahead to end an epoch; completion
+  // must still be noticed, not run out to max_sim_time. The same fleet on
+  // two cells finishes in about a second: one cell may be slower (twice
+  // the clients per bottleneck) but of the same order, time and energy.
+  cfg.sharding.clients_per_cell = 4;
+  ShardedFleet two(cfg);
+  const FleetMetrics m2 = two.run(9);
+  ASSERT_EQ(two.cell_count(), 2u);
+  EXPECT_TRUE(m.run.completed);
+  EXPECT_LT(m.run.download_time_s, 5.0 * m2.run.download_time_s);
+  EXPECT_LT(m.run.energy_j, 5.0 * m2.run.energy_j);
+  EXPECT_GT(m.run.energy_j, 0.2 * m2.run.energy_j);
+}
+
+TEST(ShardedFleetTest, MergedRunCarriesFluidGaugesOfEveryCell) {
+  FleetConfig cfg = sharded_config(1);
+  cfg.scenario.fidelity = sim::Fidelity::kHybrid;
+  cfg.clients = 4;
+  cfg.flows_per_client = 2;
+  cfg.flow_size.mean_bytes = 4'000'000;  // well above the fluid entry floor
+  cfg.sharding.cross_every = 0;
+  ShardedFleet fleet(cfg);
+  const FleetMetrics m = fleet.run(3);
+  ASSERT_EQ(fleet.cell_count(), 2u);
+  std::uint64_t fluid = 0;
+  std::uint64_t entries = 0;
+  for (std::size_t c = 0; c < fleet.cell_count(); ++c) {
+    fluid += fleet.cell_world(c).fast_path->fluid_bytes();
+    entries += fleet.cell_world(c).fast_path->fluid_entries();
+  }
+  EXPECT_GT(fluid, 0u);
+  EXPECT_DOUBLE_EQ(metric(m, "run.fluid_bytes"), static_cast<double>(fluid));
+  EXPECT_DOUBLE_EQ(metric(m, "run.fluid_entries"),
+                   static_cast<double>(entries));
+
+  // Packet-mode artifacts carry no fluid gauges.
+  FleetMetrics packet;
+  run_and_serialize(1, &packet);
+  EXPECT_TRUE(std::isnan(metric(packet, "run.fluid_bytes")));
+}
+
+TEST(ShardedFleetTest, MergedRunSumsEveryCellsSeries) {
+  FleetConfig cfg = sharded_config(2);
+  cfg.scenario.record_series = true;
+  ShardedFleet fleet(cfg);
+  const FleetMetrics m = fleet.run(17);
+  ASSERT_FALSE(m.run.energy_series.empty());
+  EXPECT_EQ(m.run.wifi_rate_series.size(), m.run.energy_series.size());
+  EXPECT_EQ(m.run.cell_rate_series.size(), m.run.energy_series.size());
+  double prev = 0.0;
+  for (const stats::Point& p : m.run.energy_series) {
+    EXPECT_GE(p.v, prev);
+    prev = p.v;
+  }
+  EXPECT_NEAR(m.run.energy_series.back().v, m.run.energy_j,
+              1e-9 * m.run.energy_j);
 }
 
 }  // namespace
