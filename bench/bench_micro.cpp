@@ -237,6 +237,9 @@ struct CoreResult {
   std::uint64_t pkt_packets = 0;
   double pkt_seconds = 0.0;
   double pkt_allocs_per_packet = 0.0;
+  // Scheduler events per packet delivered across the chain: a work count,
+  // identical on every machine and in quick and full mode.
+  double pkt_events_per_packet = 0.0;
   // End-to-end download, with the simulator's self-profile of the run.
   std::uint64_t e2e_bytes = 0;
   double e2e_wall_sec = 0.0;
@@ -341,6 +344,7 @@ void measure_packet_path(CoreResult& out) {
   };
   for (int r = 0; r < kWarmupRounds; ++r) run_round();
   const std::uint64_t recv_before = received;
+  const std::uint64_t events_before = sim.scheduler().events_executed();
   const std::uint64_t allocs_before =
       g_alloc_count.load(std::memory_order_relaxed);
   const auto start = Clock::now();
@@ -351,6 +355,9 @@ void measure_packet_path(CoreResult& out) {
   out.pkt_packets = received - recv_before;
   out.pkt_allocs_per_packet =
       static_cast<double>(allocs) / static_cast<double>(out.pkt_packets);
+  out.pkt_events_per_packet =
+      static_cast<double>(sim.scheduler().events_executed() - events_before) /
+      static_cast<double>(out.pkt_packets);
 }
 
 void measure_end_to_end(CoreResult& out) {
@@ -597,8 +604,10 @@ void write_json(const CoreResult& r) {
   std::fprintf(f, "    \"seconds\": %.6f,\n", r.pkt_seconds);
   std::fprintf(f, "    \"packets_per_sec\": %.0f,\n",
                static_cast<double>(r.pkt_packets) / r.pkt_seconds);
-  std::fprintf(f, "    \"allocs_per_packet\": %.6f\n",
+  std::fprintf(f, "    \"allocs_per_packet\": %.6f,\n",
                r.pkt_allocs_per_packet);
+  std::fprintf(f, "    \"events_per_packet\": %.4f\n",
+               r.pkt_events_per_packet);
   std::fprintf(f, "  },\n");
   std::fprintf(f, "  \"end_to_end\": {\n");
   std::fprintf(f, "    \"bytes\": %llu,\n",

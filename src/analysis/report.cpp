@@ -300,6 +300,10 @@ std::vector<ToleranceRule> default_bench_tolerances() {
       // Schema/version markers must match exactly.
       {"schema", Mode::kExact, 0.0},
       {"*version*", Mode::kExact, 0.0},
+      // Work counts: scheduler events per packet through the two-hop link
+      // chain. Deterministic and mode-independent, so any increase is an
+      // algorithmic regression (one more event per hop), on any machine.
+      {"packet_path.events_per_packet", Mode::kMaxAbs, 0.0},
       // Per-op allocation counts are deterministic: any increase beyond
       // rounding noise is a real hot-path regression.
       {"*alloc*", Mode::kMaxAbs, 0.01},

@@ -5,6 +5,15 @@
 // The rate can change at runtime (set_rate) — the on-off bandwidth modulator,
 // the interference channel and the mobility model all drive a link this way,
 // mirroring how the paper's lab shapes the WiFi AP's bandwidth.
+//
+// Transmission is a virtual clock, not a chain of events: on enqueue a
+// packet's transmission end (tx_end) is computed from the busy-until time
+// and the current rate, and the packet joins a FIFO ring of in-flight
+// entries (queued, transmitting, or propagating). Only the ring head has an
+// armed scheduler event — its arrival at tx_end + prop — so a packet costs
+// one event per hop. Drop-tail occupancy is derived lazily: an entry stops
+// occupying the buffer once tx_end < now (an entry finishing exactly now
+// still counts as queued).
 #pragma once
 
 #include <cstdint>
@@ -53,8 +62,8 @@ class Link {
   void send(PooledPacket&& pkt);
 
   /// Changes the transmission rate. Takes effect from the next packet
-  /// serviced; the packet currently in the transmitter finishes at its old
-  /// rate, as a real shaper would.
+  /// serviced (queued packets are retimed); the packet currently in the
+  /// transmitter finishes at its old rate, as a real shaper would.
   void set_rate(double mbps);
   [[nodiscard]] double rate_mbps() const { return cfg_.rate_mbps; }
 
@@ -78,19 +87,23 @@ class Link {
   /// this many bits/s, floored at a small residual so packet tails always
   /// drain. Driven by the hybrid-fidelity coordinator every governor
   /// quantum; deliberately does NOT fire the transient listener — it is
-  /// the fast path's own doing, not a path-property change.
+  /// the fast path's own doing, not a path-property change. Like
+  /// set_rate, it retimes only packets not yet in the transmitter.
   void set_background_bps(double bps);
   [[nodiscard]] double background_bps() const { return background_bps_; }
 
-  void set_prop_delay(sim::Duration d) { cfg_.prop_delay = d; }
+  /// Applies to every packet that has not finished transmitting; packets
+  /// already propagating keep the delay they left with.
+  void set_prop_delay(sim::Duration d);
   [[nodiscard]] sim::Duration prop_delay() const { return cfg_.prop_delay; }
 
-  /// Extra one-shot delay added to the next packet's delivery (used to model
-  /// cellular promotion latency on a radio waking from idle).
-  void add_pending_delay(sim::Duration d) { pending_delay_ += d; }
+  /// Extra one-shot delay added to the delivery of the packet in the
+  /// transmitter, or of the next packet enqueued if the link is idle (used
+  /// to model cellular promotion latency on a radio waking from idle).
+  /// Later packets may overtake the delayed one.
+  void add_pending_delay(sim::Duration d);
 
   [[nodiscard]] const std::string& name() const { return cfg_.name; }
-  [[nodiscard]] std::size_t queued_bytes() const { return queued_bytes_; }
 
   // Counters for tests and diagnostics.
   [[nodiscard]] std::uint64_t delivered_packets() const { return delivered_; }
@@ -99,8 +112,29 @@ class Link {
   [[nodiscard]] std::uint64_t delivered_bytes() const { return delivered_bytes_; }
 
  private:
-  void start_transmission();
-  void finish_transmission();
+  /// One packet between send() and its arrival at the far end. Every entry
+  /// in the ring shares the link's current prop_delay (set_prop_delay
+  /// detaches the ones that left with the old value), so the ring's
+  /// arrival order is its FIFO order.
+  struct InFlight {
+    PooledPacket pkt;
+    sim::Time tx_end = 0;      ///< when its last bit leaves the transmitter
+    sim::Duration extra = 0;   ///< add_pending_delay charged to this packet
+  };
+
+  /// The drop-tail policy: true (and counted) when the packet is dropped.
+  bool drop_tail(std::uint32_t wire_bytes);
+  void enqueue(PooledPacket&& pkt);
+  [[nodiscard]] sim::Duration tx_time(std::uint32_t wire_bytes) const;
+  /// Recomputes the rate packets serialize at; when it changed, retimes
+  /// the packets still waiting for the transmitter.
+  void retime();
+  /// Moves entries with tx_end < now out of the drop-tail occupancy.
+  void settle();
+  void arm();
+  void on_arrival();
+  void arrive(PooledPacket&& pkt);
+  void arrive_later(sim::Time t, PooledPacket&& pkt);
   void deliver(PooledPacket&& pkt);
 
   sim::Simulation& sim_;
@@ -108,11 +142,15 @@ class Link {
   PacketPool& pool_;
   Receiver receiver_;
   Link* next_ = nullptr;
-  sim::RingDeque<PooledPacket> queue_;
-  std::size_t queued_bytes_ = 0;
-  bool transmitting_ = false;
+  sim::RingDeque<InFlight> ring_;
+  std::size_t settled_ = 0;       ///< ring prefix already out of the buffer
+  std::size_t queued_bytes_ = 0;  ///< wire bytes of the unsettled entries
+  sim::Time busy_until_ = 0;      ///< tx_end of the last packet enqueued
+  sim::EventId arrival_;          ///< the ring head's armed arrival
+  bool armed_ = false;
   double background_bps_ = 0.0;
-  sim::Duration pending_delay_ = 0;
+  double avail_bps_ = 0.0;        ///< rate packet traffic serializes at
+  sim::Duration pending_delay_ = 0;  ///< delay for the next idle enqueue
   std::function<void()> transient_cb_;
 
   std::uint64_t delivered_ = 0;

@@ -4,9 +4,12 @@
 // The source place owns a full inner Link (drop-tail queue, rate,
 // random loss, tracing — identical semantics to any other hop), but the
 // propagation delay is *not* modelled inside the source place: the inner
-// link runs with zero propagation, and its receiver — firing at
-// transmission-finish time s — posts the packet on the engine edge with
-// timestamp s + prop, where prop is the edge's declared lookahead. That is
+// link runs with zero propagation, so its one arrival event per packet
+// fires at transmission-finish time s, and its receiver posts the packet on
+// the engine edge with timestamp s + prop, where prop is the edge's
+// declared lookahead. A backbone hop therefore costs two events: that
+// arrival in the source place and the mailbox delivery in the destination
+// place. That is
 // exactly the conservative contract: every event executed in an epoch has
 // s >= E (the epoch's earliest pending time), so s + prop >= E + window =
 // the epoch bound, and the message can never land inside an executing

@@ -114,9 +114,16 @@ void ShardedFleet::build_cell(std::size_t index, std::size_t clients,
   scfg.request_bytes = cfg_.scenario.request_bytes;
   scfg.close_after_response = true;
   // Connections carry app_tag = g + 1 and sizes are a pure function of g,
-  // so this server answers local and cross-cell requests identically.
-  scfg.resolver = [this](std::size_t conn, std::size_t req) -> std::uint64_t {
+  // so this server answers local and cross-cell requests identically. A
+  // local flow (g = index + k*C) already holds its size in record k; only
+  // a cross-cell request evaluates flow_bytes.
+  scfg.resolver = [this, &c](std::size_t conn,
+                             std::size_t req) -> std::uint64_t {
     if (req != 0) return 0;
+    const std::size_t C = cells_.size();
+    if (conn % C == c.index && conn / C < c.records.size()) {
+      return c.records[conn / C].bytes;
+    }
     return flow_bytes(conn);
   };
   scfg.mptcp = app::make_mptcp_cfg(cfg_.scenario, true);

@@ -343,6 +343,17 @@ TEST(ReportTest, RollupFlatJsonKeysAndFlows) {
   EXPECT_EQ(diff_metrics(flat, flat, rules).violations, 0);
 }
 
+TEST(DiffTest, DefaultBenchTolerancesFailAnyExtraEventPerPacket) {
+  const std::vector<ToleranceRule> rules = default_bench_tolerances();
+  const FlatJson base = doc(R"({"packet_path":{"events_per_packet":2.0}})");
+  const FlatJson same = doc(R"({"packet_path":{"events_per_packet":2.0}})");
+  const FlatJson fewer = doc(R"({"packet_path":{"events_per_packet":1.0}})");
+  const FlatJson more = doc(R"({"packet_path":{"events_per_packet":2.5}})");
+  EXPECT_EQ(diff_metrics(base, same, rules).violations, 0);
+  EXPECT_EQ(diff_metrics(base, fewer, rules).violations, 0);
+  EXPECT_EQ(diff_metrics(base, more, rules).violations, 1);
+}
+
 TEST(DiffTest, DefaultBenchTolerancesEndInCatchAll) {
   const std::vector<ToleranceRule> rules = default_bench_tolerances();
   ASSERT_FALSE(rules.empty());

@@ -163,5 +163,156 @@ TEST_F(LinkTest, CountsDeliveredBytes) {
   EXPECT_EQ(link.delivered_bytes(), 1000u + 500u);
 }
 
+// --- Virtual transmit clock: changes that land while packets are queued.
+// Each 960-byte payload is 1000 wire bytes, i.e. 1 ms at 8 Mbps.
+
+Packet numbered(std::uint64_t seq) {
+  Packet p = make_packet(960);
+  p.seq = seq;
+  return p;
+}
+
+struct Arrival {
+  std::uint64_t seq;
+  sim::Time at;
+};
+
+TEST_F(LinkTest, RateChangeWhileQueuedRetimesOnlyWaitingPackets) {
+  Link::Config cfg;
+  cfg.rate_mbps = 8.0;
+  cfg.prop_delay = 0;
+  Link link(sim, cfg);
+  std::vector<sim::Time> arrivals;
+  link.set_receiver([&](const Packet&) { arrivals.push_back(sim.now()); });
+
+  for (int i = 0; i < 3; ++i) link.send(make_packet(960));
+  sim.at(sim::microseconds(500), [&] { link.set_rate(4.0); });
+  sim.run();
+
+  ASSERT_EQ(arrivals.size(), 3u);
+  EXPECT_EQ(arrivals[0], sim::milliseconds(1));  // in the transmitter: old rate
+  EXPECT_EQ(arrivals[1], sim::milliseconds(3));  // 2 ms at 4 Mbps
+  EXPECT_EQ(arrivals[2], sim::milliseconds(5));
+}
+
+TEST_F(LinkTest, BackgroundChangeWhileQueuedRetimesOnlyWaitingPackets) {
+  Link::Config cfg;
+  cfg.rate_mbps = 16.0;  // 0.5 ms per packet
+  cfg.prop_delay = 0;
+  Link link(sim, cfg);
+  std::vector<sim::Time> arrivals;
+  link.set_receiver([&](const Packet&) { arrivals.push_back(sim.now()); });
+
+  for (int i = 0; i < 3; ++i) link.send(make_packet(960));
+  // Fluid traffic takes half the line: 1 ms per packet from the next one.
+  sim.at(sim::microseconds(250), [&] { link.set_background_bps(8e6); });
+  sim.run();
+
+  ASSERT_EQ(arrivals.size(), 3u);
+  EXPECT_EQ(arrivals[0], sim::microseconds(500));
+  EXPECT_EQ(arrivals[1], sim::microseconds(1500));
+  EXPECT_EQ(arrivals[2], sim::microseconds(2500));
+}
+
+TEST_F(LinkTest, PendingDelayWhileBusyLandsOnTransmittingPacket) {
+  Link::Config cfg;
+  cfg.rate_mbps = 8.0;
+  cfg.prop_delay = sim::milliseconds(1);
+  Link link(sim, cfg);
+  std::vector<Arrival> arrivals;
+  link.set_receiver(
+      [&](const Packet& p) { arrivals.push_back({p.seq, sim.now()}); });
+
+  for (std::uint64_t i = 1; i <= 3; ++i) link.send(numbered(i));
+  sim.at(sim::microseconds(500),
+         [&] { link.add_pending_delay(sim::milliseconds(5)); });
+  sim.run();
+
+  // Packet 1 was in the transmitter and carries the delay; packets 2 and
+  // 3 overtake it.
+  ASSERT_EQ(arrivals.size(), 3u);
+  EXPECT_EQ(arrivals[0].seq, 2u);
+  EXPECT_EQ(arrivals[0].at, sim::milliseconds(3));
+  EXPECT_EQ(arrivals[1].seq, 3u);
+  EXPECT_EQ(arrivals[1].at, sim::milliseconds(4));
+  EXPECT_EQ(arrivals[2].seq, 1u);
+  EXPECT_EQ(arrivals[2].at, sim::milliseconds(7));  // 1 tx + 1 prop + 5
+}
+
+TEST_F(LinkTest, PacketFinishingNowStillOccupiesTheQueue) {
+  Link::Config cfg;
+  cfg.rate_mbps = 8.0;
+  cfg.prop_delay = sim::milliseconds(10);
+  cfg.queue_limit_bytes = 1500;  // room for one 1000-byte packet
+  Link link(sim, cfg);
+  int delivered = 0;
+  link.set_receiver([&](const Packet&) { ++delivered; });
+
+  // Scheduled before the first send, so it runs ahead of anything the
+  // link does at t = 1 ms, when the first packet's transmission ends.
+  sim.at(sim::milliseconds(1), [&] { link.send(make_packet(960)); });
+  sim.at(sim::milliseconds(1) + 1, [&] { link.send(make_packet(960)); });
+  link.send(make_packet(960));
+  sim.run();
+
+  EXPECT_EQ(link.dropped_queue(), 1u);  // the send at exactly tx_end
+  EXPECT_EQ(delivered, 2);
+}
+
+TEST_F(LinkTest, PropDelayChangeAppliesToPacketsNotYetTransmitted) {
+  Link::Config cfg;
+  cfg.rate_mbps = 8.0;
+  cfg.prop_delay = sim::milliseconds(10);
+  Link link(sim, cfg);
+  std::vector<Arrival> arrivals;
+  link.set_receiver(
+      [&](const Packet& p) { arrivals.push_back({p.seq, sim.now()}); });
+
+  for (std::uint64_t i = 1; i <= 3; ++i) link.send(numbered(i));
+  // Packet 1 has left the transmitter (1 ms); 2 is in it; 3 is queued.
+  sim.at(sim::microseconds(1500),
+         [&] { link.set_prop_delay(sim::milliseconds(2)); });
+  sim.run();
+
+  ASSERT_EQ(arrivals.size(), 3u);
+  EXPECT_EQ(arrivals[0].seq, 2u);
+  EXPECT_EQ(arrivals[0].at, sim::milliseconds(4));
+  EXPECT_EQ(arrivals[1].seq, 3u);
+  EXPECT_EQ(arrivals[1].at, sim::milliseconds(5));
+  EXPECT_EQ(arrivals[2].seq, 1u);
+  EXPECT_EQ(arrivals[2].at, sim::milliseconds(11));  // left with 10 ms
+
+  // A longer delay keeps FIFO order.
+  arrivals.clear();
+  const sim::Time t0 = sim.now();
+  for (std::uint64_t i = 1; i <= 3; ++i) link.send(numbered(i));
+  sim.at(t0 + sim::microseconds(1500),
+         [&] { link.set_prop_delay(sim::milliseconds(20)); });
+  sim.run();
+  ASSERT_EQ(arrivals.size(), 3u);
+  EXPECT_EQ(arrivals[0].at - t0, sim::milliseconds(3));   // left with 2 ms
+  EXPECT_EQ(arrivals[1].at - t0, sim::milliseconds(22));
+  EXPECT_EQ(arrivals[2].at - t0, sim::milliseconds(23));
+}
+
+TEST_F(LinkTest, OneSchedulerEventPerPacketHop) {
+  Link::Config cfg;
+  cfg.rate_mbps = 100.0;
+  cfg.prop_delay = sim::microseconds(50);
+  cfg.queue_limit_bytes = 1 << 20;
+  Link acc(sim, cfg);
+  Link wan(sim, cfg);
+  acc.chain_to(wan);
+  int delivered = 0;
+  wan.set_receiver([&](const Packet&) { ++delivered; });
+
+  constexpr int kPackets = 200;
+  for (int i = 0; i < kPackets; ++i) acc.send(make_packet(960));
+  sim.run();
+
+  ASSERT_EQ(delivered, kPackets);
+  EXPECT_EQ(sim.scheduler().events_executed(), 2u * kPackets);
+}
+
 }  // namespace
 }  // namespace emptcp::net

@@ -86,6 +86,26 @@ TEST(CrossShardLinkTest, BackToBackPacketsKeepSerialization) {
   EXPECT_EQ(arrivals[1], sim::milliseconds(7));  // serialized behind it
 }
 
+TEST(CrossShardLinkTest, TwoSchedulerEventsPerBackboneHop) {
+  Topology t;
+  Link::Config cfg;
+  cfg.rate_mbps = 80.0;
+  cfg.prop_delay = sim::milliseconds(5);
+  CrossShardLink cross = t.make(cfg);
+
+  int delivered = 0;
+  t.port.set_receiver([&](const Packet&) { ++delivered; });
+  constexpr int kPackets = 50;
+  for (int i = 0; i < kPackets; ++i) cross.link().send(make_packet(960));
+  t.eng.run_until(sim::seconds(1));
+
+  // One arrival event in the source place (the inner link's, at
+  // transmission finish) and one mailbox delivery in the destination.
+  ASSERT_EQ(delivered, kPackets);
+  EXPECT_EQ(t.a.scheduler().events_executed(), 1u * kPackets);
+  EXPECT_EQ(t.b.scheduler().events_executed(), 1u * kPackets);
+}
+
 TEST(CrossShardLinkTest, ZeroPropagationIsRejectedLoudly) {
   Topology t;
   Link::Config cfg;

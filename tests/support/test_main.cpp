@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <string>
 
 #include "trace/sink.hpp"
 
@@ -13,7 +14,13 @@ namespace {
 
 class FlightRecorderDumper : public ::testing::EmptyTestEventListener {
  public:
-  void OnTestStart(const ::testing::TestInfo&) override { dumped_ = false; }
+  // The test name is captured here: UnitTest::current_test_info() takes
+  // the same gtest mutex that is held while OnTestPartResult runs, so
+  // asking for it from there deadlocks the failing test.
+  void OnTestStart(const ::testing::TestInfo& info) override {
+    dumped_ = false;
+    context_ = std::string(info.test_suite_name()) + "." + info.name();
+  }
 
   void OnTestPartResult(const ::testing::TestPartResult& result) override {
     if (!result.failed() || dumped_) return;
@@ -26,14 +33,8 @@ class FlightRecorderDumper : public ::testing::EmptyTestEventListener {
     // process/thread/sequence ids — sharded ctest runs (EMPTCP_JOBS > 1)
     // execute the same binary concurrently, and test-name-only paths
     // would collide.
-    const ::testing::TestInfo* info =
-        ::testing::UnitTest::GetInstance()->current_test_info();
-    const std::string context =
-        info == nullptr ? "test"
-                        : std::string(info->test_suite_name()) + "." +
-                              info->name();
     const std::string path = emptcp::trace::dump_flight_to_file(
-        sink->flight(), context, "test failure: " + context);
+        sink->flight(), context_, "test failure: " + context_);
     if (!path.empty()) {
       std::fprintf(stderr, "[  FLIGHT  ] written to %s\n", path.c_str());
     }
@@ -42,6 +43,7 @@ class FlightRecorderDumper : public ::testing::EmptyTestEventListener {
 
  private:
   bool dumped_ = false;
+  std::string context_ = "test";
 };
 
 }  // namespace
