@@ -14,11 +14,13 @@
 // allocations/event figure is exact for this process.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <new>
+#include <string>
 
 #include "analysis/profile.hpp"
 #include "runtime/telemetry.hpp"
@@ -30,6 +32,7 @@
 #include "energy/device_profile.hpp"
 #include "net/link.hpp"
 #include "sim/simulation.hpp"
+#include "stats/trace_export.hpp"
 #include "tcp/buffers.hpp"
 #include "trace/trace.hpp"
 #include "workload/fleet.hpp"
@@ -290,6 +293,12 @@ struct CoreResult {
   std::uint64_t huge_cells = 0;
   std::uint64_t huge_events = 0;
   double huge_seconds = 0.0;
+  // Trace artifact of a small traced fleet of short flows: JSONL lines
+  // (events plus metric lines) per completed flow. A work count, the same
+  // on every machine and in quick and full mode; it grows if a per-ACK
+  // kind enters the retained stream again.
+  std::uint64_t artifact_flows = 0;
+  std::uint64_t artifact_lines = 0;
   // Wall-time per harness section (self-profiling of the bench itself).
   analysis::Profiler harness;
 };
@@ -545,6 +554,27 @@ void measure_fleet_100k(CoreResult& out) {
                                         out.huge_events);
 }
 
+// A campaign-cell-shaped traced fleet: 4 eMPTCP clients, 4 short flows
+// each. Sized identically in quick and full mode.
+void measure_trace_artifact(CoreResult& out) {
+  const auto timer = out.harness.time("trace_artifact");
+  workload::FleetConfig cfg;
+  cfg.scenario.trace = true;
+  cfg.scenario.record_series = false;
+  cfg.protocol = app::Protocol::kEmptcp;
+  cfg.mode = workload::FleetConfig::Mode::kClosed;
+  cfg.clients = 4;
+  cfg.flows_per_client = 4;
+  cfg.flow_size.kind = workload::SizeDist::Kind::kFixed;
+  cfg.flow_size.mean_bytes = 100'000;
+  const workload::FleetMetrics m = workload::ClientFleet(cfg).run(1);
+  const std::string jsonl =
+      stats::trace_to_jsonl(m.run.trace_events, m.run.trace_metrics);
+  out.artifact_flows = m.flows_completed;
+  out.artifact_lines = static_cast<std::uint64_t>(
+      std::count(jsonl.begin(), jsonl.end(), '\n'));
+}
+
 /// Disabled span-profiler gate at an instrumentation site. Telemetry must
 /// be off (the default): each EMPTCP_SPAN then costs one relaxed atomic
 /// load, a branch, and a trivially-destructed empty guard.
@@ -708,6 +738,15 @@ void write_json(const CoreResult& r) {
                static_cast<double>(r.huge_events) / r.huge_seconds);
   std::fprintf(f, "    \"completed\": 1\n");
   std::fprintf(f, "  },\n");
+  std::fprintf(f, "  \"trace_artifact\": {\n");
+  std::fprintf(f, "    \"flows\": %llu,\n",
+               static_cast<unsigned long long>(r.artifact_flows));
+  std::fprintf(f, "    \"lines\": %llu,\n",
+               static_cast<unsigned long long>(r.artifact_lines));
+  std::fprintf(f, "    \"lines_per_flow\": %.4f\n",
+               static_cast<double>(r.artifact_lines) /
+                   static_cast<double>(r.artifact_flows));
+  std::fprintf(f, "  },\n");
   std::fprintf(f, "  \"self_profile\": {\n");
   std::fprintf(f, "    \"e2e_events_executed\": %llu,\n",
                static_cast<unsigned long long>(
@@ -737,6 +776,7 @@ void run_core_harness() {
   measure_fleet_hybrid(r);
   measure_sharded_fleet(r);
   measure_fleet_100k(r);
+  measure_trace_artifact(r);
   measure_trace_gates(r);
   std::printf(
       "fleet: %llu clients, %.2fM events/s, %.6f allocs/event\n",

@@ -22,7 +22,11 @@ struct ScenarioConfig;
 
 namespace emptcp::analysis {
 
-inline constexpr const char* kManifestSchema = "emptcp-run-manifest-v1";
+/// v2: the trace stream no longer retains the per-ACK kinds (cwnd, srtt,
+/// sched_pick) and scheduler activity travels as mptcp.sched_* counters.
+/// A v1 artifact would roll up with no scheduler bytes, so readers reject
+/// it and a resumed campaign re-runs its cells.
+inline constexpr const char* kManifestSchema = "emptcp-run-manifest-v2";
 
 struct RunManifest {
   std::string group;     ///< aggregation key, e.g. "fig08" or "fig10-n2"

@@ -304,6 +304,10 @@ std::vector<ToleranceRule> default_bench_tolerances() {
       // chain. Deterministic and mode-independent, so any increase is an
       // algorithmic regression (one more event per hop), on any machine.
       {"packet_path.events_per_packet", Mode::kMaxAbs, 0.0},
+      // Trace lines per flow of a small traced fleet: a deterministic
+      // count of what campaign artifacts retain. Any change, such as a
+      // per-ACK kind creeping back into the stream, needs a re-commit.
+      {"trace_artifact.lines_per_flow", Mode::kExact, 0.0},
       // Per-op allocation counts are deterministic: any increase beyond
       // rounding noise is a real hot-path regression.
       {"*alloc*", Mode::kMaxAbs, 0.01},

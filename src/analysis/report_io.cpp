@@ -107,7 +107,11 @@ bool load_analyzed_runs(const std::vector<std::string>& dirs,
     }
     RunManifest manifest;
     if (!manifest_from_json(*doc, manifest)) {
-      err = path + ": not a run manifest";
+      const std::string schema = json_str(*doc, "schema");
+      err = path + (schema.rfind("emptcp-run-manifest-", 0) == 0
+                        ? ": manifest schema " + schema + " is not " +
+                              kManifestSchema + "; regenerate the artifacts"
+                        : std::string(": not a run manifest"));
       return false;
     }
     const std::string trace_path =

@@ -75,17 +75,21 @@ void RollupBuilder::add_line(const FlatJson& doc) {
 
 void RollupBuilder::add_metric(const std::string& name, double value) {
   metrics_.emplace_back(name, value);
+  // Scheduler activity comes from MptcpConnection's counters; per-pick
+  // events never reach the retained trace stream.
+  static constexpr std::string_view kSchedBytes = "mptcp.sched_bytes.";
+  if (name == "mptcp.sched_picks") {
+    r_.sched_picks += static_cast<std::uint64_t>(value);
+  } else if (name.compare(0, kSchedBytes.size(), kSchedBytes) == 0) {
+    slot_for(r_.sched_bytes_by_iface, name.substr(kSchedBytes.size())) +=
+        static_cast<std::uint64_t>(value);
+  }
 }
 
 void RollupBuilder::add_event(const FlatJson& e) {
   ++r_.events;
   const std::string kind = json_str(e, "kind");
-  if (kind == "sched_pick") {
-    ++r_.sched_picks;
-    const std::string iface = json_str(e, "iface");
-    slot_for(r_.sched_bytes_by_iface, iface) +=
-        static_cast<std::uint64_t>(json_num(e, "len", 0.0));
-  } else if (kind == "mp_prio") {
+  if (kind == "mp_prio") {
     if (json_num(e, "backup", 0.0) != 0.0) {
       ++r_.suspends;
     } else {

@@ -58,7 +58,8 @@ struct RunRollup {
   /// a large gap means the trace is stale or truncated.
   double integrated_energy_j = 0.0;
 
-  // Scheduler / subflow activity.
+  // Scheduler / subflow activity. Picks and bytes per interface come from
+  // the mptcp.sched_picks / mptcp.sched_bytes.<iface> counters.
   std::uint64_t sched_picks = 0;
   std::vector<std::pair<std::string, std::uint64_t>> sched_bytes_by_iface;
   std::uint64_t suspends = 0;       ///< MP_PRIO backup=true transitions

@@ -392,6 +392,16 @@ bool parse_campaign_spec(std::string_view text, CampaignSpec& out,
     return false;
   }
   if (spec.seeds.empty()) { err = "spec has no seeds"; return false; }
+  // No differential gate, fuzzer run or oracle covers hybrid fidelity on a
+  // sharded fleet yet, so the combination is refused rather than run
+  // unverified. The effective fidelity is the key's, else EMPTCP_FIDELITY.
+  if (spec.workload.scenario.fidelity == sim::Fidelity::kHybrid &&
+      spec.workload.sharding.clients_per_cell > 0) {
+    err = "hybrid fidelity (scenario.fidelity or EMPTCP_FIDELITY) is not "
+          "supported with sharding.clients_per_cell > 0; use packet "
+          "fidelity for sharded fleets";
+    return false;
+  }
   // Stamped per cell by the runner; re-force in case a scenario key
   // toggled it.
   spec.workload.scenario.trace = true;

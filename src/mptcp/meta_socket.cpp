@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <string>
 
 #include "check/hub.hpp"
 #include "check/oracle.hpp"
@@ -35,6 +36,7 @@ MptcpConnection::MptcpConnection(sim::Simulation& sim, net::Node& node,
       scheduler_(std::make_unique<MinRttScheduler>()),
       ctr_reinjected_(
           &sim.trace().metrics().counter("mptcp.reinjected_chunks")),
+      ctr_sched_picks_(&sim.trace().metrics().counter("mptcp.sched_picks")),
       chk_(&check::hub(sim)),
       fp_(&fastpath_hub(sim)) {}
 
@@ -128,6 +130,12 @@ void MptcpConnection::accept_join(const net::Packet& syn) {
 Subflow& MptcpConnection::create_subflow(
     std::unique_ptr<tcp::TcpSocket> socket, net::InterfaceType iface) {
   tcp::TcpSocket* sock = socket.get();
+  trace::Counter*& sched_bytes =
+      ctr_sched_bytes_[static_cast<std::size_t>(iface)];
+  if (sched_bytes == nullptr) {
+    sched_bytes = &sim_.trace().metrics().counter(
+        std::string("mptcp.sched_bytes.") + net::to_string(iface));
+  }
 
   tcp::CongestionControl* coupled = nullptr;
   if (cfg_.coupled_cc) {
@@ -247,6 +255,8 @@ std::optional<tcp::TcpSocket::Chunk> MptcpConnection::pull_chunk(
                            sf.usable(), sf.backup(), other_regular,
                            sf.id()});
   }
+  ctr_sched_picks_->add();
+  ctr_sched_bytes_[static_cast<std::size_t>(sf.iface())]->add(chunk.len);
   EMPTCP_TRACE(sim_, sched_pick(sim_.now(),
                                 static_cast<std::uint32_t>(sf.id()),
                                 net::to_string(sf.iface()), chunk.data_seq,

@@ -19,6 +19,7 @@
 // counted responses (see app/).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -206,6 +207,11 @@ class MptcpConnection {
   std::unique_ptr<SubflowScheduler> scheduler_;
   LiaState lia_;
   trace::Counter* ctr_reinjected_ = nullptr;  ///< reinjected data chunks
+  trace::Counter* ctr_sched_picks_ = nullptr;  ///< chunks assigned to subflows
+  /// Bytes assigned per interface type (mptcp.sched_bytes.<iface>),
+  /// indexed by net::InterfaceType; registered with the first subflow on
+  /// that interface so a pick is one add through a cached pointer.
+  std::array<trace::Counter*, net::kInterfaceTypes> ctr_sched_bytes_{};
   /// Invariant-oracle attachment point (see check/hub.hpp).
   check::Hub* chk_ = nullptr;
   /// Hybrid-fidelity fast-path attachment point (see fastpath_hub.hpp).

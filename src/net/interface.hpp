@@ -9,6 +9,7 @@
 // depend on `energy`.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -21,6 +22,7 @@
 namespace emptcp::net {
 
 enum class InterfaceType { kWifi, kLte, kThreeG, kEthernet };
+inline constexpr std::size_t kInterfaceTypes = 4;  ///< enumerators above
 
 const char* to_string(InterfaceType t);
 

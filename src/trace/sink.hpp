@@ -138,11 +138,21 @@ class TraceSink {
   /// always-on flight recorder, or an attached observer.
   [[nodiscard]] bool recording() const { return recording_; }
 
-  /// Full event retention (the exported trace stream).
+  /// Event retention (the exported trace stream; see retained()).
   [[nodiscard]] bool enabled() const { return enabled_; }
   void enable(bool on = true) {
     enabled_ = on;
     recompute_recording();
+  }
+
+  /// Whether events of kind `k` enter the retained stream. The per-ACK
+  /// kinds (cwnd, srtt, sched_pick) never do: they fire per segment and
+  /// no report reads them, yet they would be most of an artifact's bytes.
+  /// The flight recorder and the observer still see them, so the
+  /// invariant oracle and crash dumps are unaffected; scheduler activity
+  /// reaches artifacts as the mptcp.sched_* counters (DESIGN.md §7).
+  [[nodiscard]] static constexpr bool retained(Kind k) {
+    return k != Kind::kCwnd && k != Kind::kSrtt && k != Kind::kSchedPick;
   }
 
   /// The bounded flight-recorder ring; on by default. Turning it off (with
@@ -232,7 +242,7 @@ class TraceSink {
 
  private:
   void push(const Event& e) {
-    if (enabled_) events_.push_back(e);
+    if (enabled_ && retained(e.kind)) events_.push_back(e);
     if (flight_on_) flight_.record(e);
     if (observer_ != nullptr) observer_->on_trace_event(e);
   }

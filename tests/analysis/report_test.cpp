@@ -7,18 +7,18 @@
 
 #include "analysis/manifest.hpp"
 #include "analysis/rollup.hpp"
+#include "app/scenario.hpp"
+#include "stats/trace_export.hpp"
+#include "workload/sharded_fleet.hpp"
 
 namespace emptcp::analysis {
 namespace {
 
-// A tiny hand-written trace exercising every rollup path: scheduler picks
-// on two interfaces, a suspend/resume pair, energy samples, a warning and
-// the run.* gauge snapshot.
+// A tiny hand-written trace exercising every rollup path: a suspend/resume
+// pair, energy samples, a warning, the scheduler counters for two
+// interfaces and the run.* gauge snapshot.
 constexpr const char* kTraceJsonl =
-    R"({"t_ns":1000000,"kind":"sched_pick","subflow":1,"iface":"wifi","data_seq":0,"len":1400}
-{"t_ns":2000000,"kind":"sched_pick","subflow":2,"iface":"cell","data_seq":1400,"len":600}
-{"t_ns":3000000,"kind":"sched_pick","subflow":1,"iface":"wifi","data_seq":2000,"len":600}
-{"t_ns":4000000,"kind":"mp_prio","subflow":2,"iface":"cell","backup":true,"origin":"sender"}
+    R"({"t_ns":4000000,"kind":"mp_prio","subflow":2,"iface":"cell","backup":true,"origin":"sender"}
 {"t_ns":5000000,"kind":"mp_prio","subflow":2,"iface":"cell","backup":false,"origin":"sender"}
 {"t_ns":6000000,"kind":"mode_change","from":"all-paths","to":"wifi-only","wifi_mbps":20,"cell_mbps":5}
 {"t_ns":7000000,"kind":"radio_state","iface":"cell","state":"IDLE"}
@@ -32,6 +32,9 @@ constexpr const char* kTraceJsonl =
 {"metric":"run.cell_j","value":0.25}
 {"metric":"run.bytes_received","value":2600}
 {"metric":"tcp.retransmits","value":3}
+{"metric":"mptcp.sched_picks","value":3}
+{"metric":"mptcp.sched_bytes.wifi","value":2000}
+{"metric":"mptcp.sched_bytes.cell","value":600}
 )";
 
 RunManifest test_manifest(const std::string& group, const std::string& proto,
@@ -48,8 +51,8 @@ RunManifest test_manifest(const std::string& group, const std::string& proto,
 TEST(RollupTest, ParseTraceSeparatesEventsFromMetrics) {
   TraceData t;
   ASSERT_TRUE(parse_trace_jsonl(kTraceJsonl, t));
-  EXPECT_EQ(t.events.size(), 10u);
-  EXPECT_EQ(t.metrics.size(), 7u);
+  EXPECT_EQ(t.events.size(), 7u);
+  EXPECT_EQ(t.metrics.size(), 10u);
   EXPECT_DOUBLE_EQ(t.metric("run.energy_j", 0.0), 1.25);
   EXPECT_DOUBLE_EQ(t.metric("missing", -1.0), -1.0);
 }
@@ -75,7 +78,7 @@ TEST(RollupTest, RollupComputesPaperMetrics) {
   EXPECT_EQ(r.mode_changes, 1u);
   EXPECT_EQ(r.radio_transitions, 1u);
   EXPECT_EQ(r.warnings, 1u);
-  EXPECT_EQ(r.events, 10u);
+  EXPECT_EQ(r.events, 7u);
   EXPECT_EQ(r.retransmits, 3u);
   // wifi got 2000 of 2600 scheduled bytes.
   EXPECT_DOUBLE_EQ(r.iface_share("wifi"), 2000.0 / 2600.0);
@@ -117,6 +120,51 @@ TEST(RollupTest, StreamingBuilderMatchesBatchRollup) {
   EXPECT_EQ(streamed.retransmits, batch.retransmits);
   // The single pass also produced the power-timeline windows.
   EXPECT_GT(b.power().count(), 0u);
+}
+
+/// One campaign-style cell (a one-cell fleet, traced) rolled up from its
+/// serialized artifact, as emptcp-report sees it.
+RunRollup rollup_fleet_cell(app::Protocol protocol) {
+  workload::FleetConfig cfg;
+  cfg.protocol = protocol;
+  cfg.clients = 2;
+  cfg.flows_per_client = 1;
+  cfg.flow_size.kind = workload::SizeDist::Kind::kFixed;
+  cfg.flow_size.mean_bytes = 1'000'000;
+  cfg.scenario.trace = true;
+  cfg.scenario.record_series = false;
+  const workload::FleetMetrics m = workload::ClientFleet(cfg).run(1);
+  EXPECT_EQ(m.flows_completed, 2u);
+  const std::string jsonl =
+      stats::trace_to_jsonl(m.run.trace_events, m.run.trace_metrics);
+  EXPECT_EQ(jsonl.find("\"kind\":\"sched_pick\""), std::string::npos);
+  TraceData t;
+  EXPECT_TRUE(parse_trace_jsonl(jsonl, t));
+  RunRollup r =
+      rollup_run(test_manifest("cell", app::to_string(protocol), 1), t);
+  EXPECT_DOUBLE_EQ(t.metric("mptcp.sched_picks", -1.0),
+                   static_cast<double>(r.sched_picks));
+  return r;
+}
+
+TEST(RollupTest, SchedulerActivityComesFromCounters) {
+  // MPTCP spreads the flows over both radios: every flow byte was assigned
+  // at least once, and the shares of the two interfaces add up to one.
+  const RunRollup mp = rollup_fleet_cell(app::Protocol::kMptcp);
+  EXPECT_GT(mp.sched_picks, 0u);
+  std::uint64_t assigned = 0;
+  for (const auto& [iface, bytes] : mp.sched_bytes_by_iface) {
+    assigned += bytes;
+  }
+  EXPECT_GE(assigned, 2'000'000u);
+  EXPECT_GT(mp.iface_share("wifi"), 0.0);
+  EXPECT_GT(mp.iface_share("lte"), 0.0);
+  EXPECT_DOUBLE_EQ(mp.iface_share("wifi") + mp.iface_share("lte"), 1.0);
+
+  // TCP/WiFi assigns everything to its one subflow.
+  const RunRollup tcp = rollup_fleet_cell(app::Protocol::kTcpWifi);
+  EXPECT_GT(tcp.sched_picks, 0u);
+  EXPECT_DOUBLE_EQ(tcp.iface_share("wifi"), 1.0);
 }
 
 TEST(ManifestStreamTest, ChunkedDigestMatchesWholeString) {
@@ -352,6 +400,18 @@ TEST(DiffTest, DefaultBenchTolerancesFailAnyExtraEventPerPacket) {
   EXPECT_EQ(diff_metrics(base, same, rules).violations, 0);
   EXPECT_EQ(diff_metrics(base, fewer, rules).violations, 0);
   EXPECT_EQ(diff_metrics(base, more, rules).violations, 1);
+}
+
+TEST(DiffTest, DefaultBenchTolerancesPinTraceLinesPerFlowExactly) {
+  const std::vector<ToleranceRule> rules = default_bench_tolerances();
+  const FlatJson base = doc(R"({"trace_artifact":{"lines_per_flow":40.5}})");
+  const FlatJson same = doc(R"({"trace_artifact":{"lines_per_flow":40.5}})");
+  const FlatJson more = doc(R"({"trace_artifact":{"lines_per_flow":120}})");
+  const FlatJson fewer = doc(R"({"trace_artifact":{"lines_per_flow":30}})");
+  EXPECT_EQ(diff_metrics(base, same, rules).violations, 0);
+  EXPECT_EQ(diff_metrics(base, more, rules).violations, 1);
+  // A drop is a change of a deterministic count too: re-commit the baseline.
+  EXPECT_EQ(diff_metrics(base, fewer, rules).violations, 1);
 }
 
 TEST(DiffTest, DefaultBenchTolerancesEndInCatchAll) {

@@ -11,8 +11,12 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <vector>
+
+#include <unistd.h>
 
 #include "analysis/json.hpp"
+#include "analysis/manifest.hpp"
 #include "analysis/report.hpp"
 #include "analysis/report_io.hpp"
 #include "analysis/rollup.hpp"
@@ -78,15 +82,25 @@ std::map<std::string, std::string> snapshot(const fs::path& dir) {
 
 class CampaignRunnerTest : public ::testing::Test {
  protected:
+  // The process id keeps this suite apart from its own re-run under
+  // campaign_parallel_jobs, which ctest may schedule concurrently.
   fs::path fresh_dir(const char* tag) {
     const fs::path dir = fs::path(::testing::TempDir()) /
                          (std::string("campaign_") + tag + "_" +
                           ::testing::UnitTest::GetInstance()
                               ->current_test_info()
-                              ->name());
+                              ->name() +
+                          "_" + std::to_string(::getpid()));
     fs::remove_all(dir);
+    dirs_.push_back(dir);
     return dir;
   }
+  void TearDown() override {
+    for (const fs::path& dir : dirs_) fs::remove_all(dir);
+  }
+
+ private:
+  std::vector<fs::path> dirs_;
 };
 
 TEST_F(CampaignRunnerTest, RunsGridAndWritesArtifactPairs) {
@@ -165,6 +179,41 @@ TEST_F(CampaignRunnerTest, ResumeAfterMidCampaignKillRecovers) {
   EXPECT_EQ(result.ran + result.resumed, 4u);
   // Recovery converges to the uninterrupted run, byte for byte.
   EXPECT_EQ(snapshot(dir), complete);
+}
+
+// An artifact written under an older manifest schema never resumes, even
+// when its ledger entry and trace digest agree: a v1 trace carries no
+// scheduler counters, so mixing it into a v2 report would show wifi% 0.
+TEST_F(CampaignRunnerTest, OlderManifestSchemaIsRerunNotResumed) {
+  const fs::path dir = fresh_dir("schema");
+  CampaignRunner first(tiny_spec(), dir.string());
+  ASSERT_EQ(first.run(1).ran, 4u);
+  const auto complete = snapshot(dir);
+
+  const std::string label = first.cells()[0].label;
+  const fs::path manifest = dir / (label + ".manifest.json");
+  std::string text = slurp(manifest);
+  const std::string current = analysis::kManifestSchema;
+  const std::size_t at = text.find(current);
+  ASSERT_NE(at, std::string::npos);
+  text.replace(at, current.size(), "emptcp-run-manifest-v1");
+  {
+    std::ofstream out(manifest, std::ios::binary | std::ios::trunc);
+    out << text;
+  }
+
+  // The report refuses the mixed directory, naming the old schema.
+  std::vector<analysis::AnalyzedRun> runs;
+  std::string err;
+  EXPECT_FALSE(analysis::load_analyzed_runs({dir.string()}, runs, err));
+  EXPECT_NE(err.find("emptcp-run-manifest-v1"), std::string::npos) << err;
+
+  CampaignRunner second(tiny_spec(), dir.string());
+  const CampaignResult result = second.run(1);
+  EXPECT_EQ(result.ran, 1u);
+  EXPECT_EQ(result.resumed, 3u);
+  EXPECT_EQ(result.cells[0].kind, CellOutcome::Kind::kRan);
+  EXPECT_EQ(snapshot(dir), complete);  // rewritten under the current schema
 }
 
 // Regression: a spec with an empty seed list (or no protocols / fleet

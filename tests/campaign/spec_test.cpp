@@ -4,7 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <set>
+#include <string>
 
 #include "campaign/runner.hpp"
 
@@ -118,6 +120,46 @@ TEST(CampaignSpecTest, ParsesAndValidatesShardingKeys) {
       "sharding.backbone_mbps = -1\n",
       spec, err));
   EXPECT_NE(err.find("backbone_mbps"), std::string::npos);
+}
+
+// Hybrid fidelity on a sharded fleet is unverified (no differential gate
+// or fuzzer covers it), so the parser refuses it — whether the fidelity
+// comes from the spec key or from EMPTCP_FIDELITY.
+TEST(CampaignSpecTest, RejectsHybridFidelityOnShardedFleets) {
+  const std::string sharded =
+      "name = sh\nprotocols = emptcp\nfleet_sizes = 8\nseeds = 1\n"
+      "sharding.clients_per_cell = 2\n";
+  CampaignSpec spec;
+  std::string err;
+  EXPECT_FALSE(
+      parse_campaign_spec(sharded + "scenario.fidelity = hybrid\n", spec, err));
+  EXPECT_NE(err.find("hybrid"), std::string::npos) << err;
+  EXPECT_NE(err.find("sharding.clients_per_cell"), std::string::npos) << err;
+  ASSERT_TRUE(
+      parse_campaign_spec(sharded + "scenario.fidelity = packet\n", spec, err))
+      << err;
+
+  const char* prev = std::getenv("EMPTCP_FIDELITY");
+  const std::string saved = prev != nullptr ? prev : "";
+  ::setenv("EMPTCP_FIDELITY", "hybrid", 1);
+  err.clear();
+  EXPECT_FALSE(parse_campaign_spec(sharded, spec, err));
+  EXPECT_NE(err.find("EMPTCP_FIDELITY"), std::string::npos) << err;
+  // The explicit key still wins over the environment, and an unsharded
+  // spec keeps hybrid fidelity.
+  EXPECT_TRUE(
+      parse_campaign_spec(sharded + "scenario.fidelity = packet\n", spec, err))
+      << err;
+  EXPECT_TRUE(parse_campaign_spec(
+      "name = h\nprotocols = emptcp\nfleet_sizes = 8\nseeds = 1\n", spec,
+      err))
+      << err;
+  EXPECT_EQ(spec.workload.scenario.fidelity, sim::Fidelity::kHybrid);
+  if (prev != nullptr) {
+    ::setenv("EMPTCP_FIDELITY", saved.c_str(), 1);
+  } else {
+    ::unsetenv("EMPTCP_FIDELITY");
+  }
 }
 
 TEST(CampaignSpecTest, SeedDerivationIsStableAndDecorrelated) {

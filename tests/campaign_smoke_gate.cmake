@@ -1,6 +1,7 @@
 # Tier-1 campaign smoke: run the committed smoke spec end to end (tiny
-# 2-protocol x 2-seed grid, seconds of wall clock), then re-run it and
-# require a full resume — no cell recomputed, byte-identical report.
+# 2-protocol x 2-seed grid, seconds of wall clock), check that no artifact
+# retains a per-ACK trace kind, then re-run it and require a full resume —
+# no cell recomputed, byte-identical report.
 # Invoked by ctest with:
 #   -DCAMPAIGN_TOOL=<path to emptcp-campaign>
 #   -DSPEC=<examples/campaigns/smoke.spec>
@@ -34,6 +35,28 @@ if(NOT first_report MATCHES "== flows ")
   message(FATAL_ERROR "campaign_smoke_gate: report lacks the per-flow "
                       "distribution section:\n${first_report}")
 endif()
+
+# Retention rule (DESIGN.md §7): the per-ACK kinds never reach an
+# artifact; scheduler activity arrives as the mptcp.sched_picks counter.
+file(GLOB smoke_traces ${OUT_DIR}/*.jsonl)
+if(NOT smoke_traces)
+  message(FATAL_ERROR "campaign_smoke_gate: no traces under ${OUT_DIR}")
+endif()
+foreach(trace ${smoke_traces})
+  get_filename_component(name ${trace} NAME)
+  file(STRINGS ${trace} per_ack_lines
+       REGEX "\"kind\":\"(srtt|cwnd|sched_pick)\"")
+  if(per_ack_lines)
+    list(GET per_ack_lines 0 first_line)
+    message(FATAL_ERROR "campaign_smoke_gate: ${name} retains a per-ACK "
+                        "trace line: ${first_line}")
+  endif()
+  file(STRINGS ${trace} pick_lines REGEX "\"mptcp.sched_picks\"")
+  if(NOT pick_lines MATCHES "\"value\":[1-9]")
+    message(FATAL_ERROR "campaign_smoke_gate: ${name} lacks a non-zero "
+                        "mptcp.sched_picks counter: ${pick_lines}")
+  endif()
+endforeach()
 
 # Second invocation: everything resumes from the ledger, and the rendered
 # report is byte-identical (same artifacts -> same report).

@@ -3,7 +3,8 @@
 # traffic) as spec'd, then again into a second directory with --shards 1,
 # and require the two artifact sets — traces, manifests, ledger — to be
 # byte-identical. The worker-shard count must never change a single
-# output byte. Invoked by ctest with:
+# output byte. Finally the same spec under EMPTCP_FIDELITY=hybrid must be
+# refused with exit code 2. Invoked by ctest with:
 #   -DCAMPAIGN_TOOL=<path to emptcp-campaign>
 #   -DSPEC=<examples/campaigns/sharded_smoke.spec>
 #   -DOUT_DIR=<scratch directory; _sharded/_serial suffixes are added>
@@ -76,5 +77,29 @@ if(NOT sharded_report STREQUAL serial_report)
   message(FATAL_ERROR "shard_smoke_gate: reports differ between shard counts")
 endif()
 
+# Hybrid fidelity on a sharded fleet is not verified yet, so the CLI must
+# refuse it as a spec error (exit 2) before running anything, also when
+# the fidelity comes from the environment.
+set(hybrid_dir ${OUT_DIR}_hybrid)
+file(REMOVE_RECURSE ${hybrid_dir})
+execute_process(
+  COMMAND ${CMAKE_COMMAND} -E env EMPTCP_FIDELITY=hybrid
+          ${CAMPAIGN_TOOL} --out ${hybrid_dir} ${SPEC}
+  RESULT_VARIABLE rc
+  OUTPUT_QUIET
+  ERROR_VARIABLE hybrid_log)
+if(NOT rc EQUAL 2)
+  message(FATAL_ERROR "shard_smoke_gate: hybrid x sharded spec exited ${rc}, "
+                      "expected 2: ${hybrid_log}")
+endif()
+if(NOT hybrid_log MATCHES "hybrid fidelity")
+  message(FATAL_ERROR "shard_smoke_gate: hybrid x sharded rejection lacks "
+                      "its reason: ${hybrid_log}")
+endif()
+if(EXISTS ${hybrid_dir}/campaign.ledger)
+  message(FATAL_ERROR "shard_smoke_gate: rejected hybrid x sharded spec "
+                      "still ran cells")
+endif()
+
 message(STATUS "shard_smoke_gate: sharded and --shards 1 artifacts are "
-               "byte-identical (${sharded_files})")
+               "byte-identical (${sharded_files}); hybrid x sharded refused")

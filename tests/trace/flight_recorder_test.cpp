@@ -65,14 +65,14 @@ TEST(FlightRecorderTest, SinkFeedsRingWithoutRetention) {
   TraceSink sink;
   ASSERT_FALSE(sink.enabled());
   ASSERT_TRUE(sink.flight_enabled());
-  sink.cwnd(sim::Time{1}, 1, 10, 5);
+  sink.tcp_state(sim::Time{1}, 1, "closed", "syn_sent");
   EXPECT_EQ(sink.size(), 0u);        // nothing retained
   EXPECT_EQ(sink.flight().total(), 1u);  // but the ring saw it
   sink.flight_enable(false);
   EXPECT_FALSE(sink.recording());
   sink.enable();
   EXPECT_TRUE(sink.recording());
-  sink.cwnd(sim::Time{2}, 1, 20, 10);
+  sink.tcp_state(sim::Time{2}, 1, "syn_sent", "established");
   EXPECT_EQ(sink.size(), 1u);
   EXPECT_EQ(sink.flight().total(), 1u);  // ring off: unchanged
 }

@@ -9,10 +9,12 @@
 #include <vector>
 
 #include "app/scenario.hpp"
+#include "app/world.hpp"
 #include "runtime/replication.hpp"
 #include "stats/trace_export.hpp"
 #include "trace/trace.hpp"
 #include "trace/trace_diff.hpp"
+#include "workload/sharded_fleet.hpp"
 
 namespace emptcp {
 namespace {
@@ -38,18 +40,39 @@ std::string traced_jsonl(const app::ScenarioConfig& cfg, app::Protocol p,
   return stats::trace_to_jsonl(m.trace_events, m.trace_metrics);
 }
 
+/// Collects the kind of every event the sink hands its observer.
+struct KindCollector : trace::EventObserver {
+  void on_trace_event(const trace::Event& e) override { kinds.insert(e.kind); }
+  std::set<trace::Kind> kinds;
+};
+
 TEST(TraceDeterminismTest, SmallScenarioCoversEveryInstrumentedLayer) {
 #if !EMPTCP_TRACE_COMPILED
   GTEST_SKIP() << "tracing compiled out (EMPTCP_TRACE=OFF)";
 #endif
-  app::Scenario s(traced_config());
-  const app::RunMetrics m = s.run_download(app::Protocol::kMptcp,
-                                           256 * 1024, 7);
-  ASSERT_FALSE(m.trace_events.empty());
+  // A one-client, one-flow fleet: the same instrumented stack as a
+  // campaign cell. The per-ACK kinds never enter the retained stream, so
+  // the layers are checked where every event still goes: the observer.
+  workload::FleetConfig cfg;
+  cfg.scenario = traced_config();
+  cfg.protocol = app::Protocol::kMptcp;
+  cfg.clients = 1;
+  cfg.flows_per_client = 1;
+  cfg.flow_size.kind = workload::SizeDist::Kind::kFixed;
+  cfg.flow_size.mean_bytes = 256 * 1024;
+  KindCollector observer;
+  workload::ClientFleet fleet(cfg);
+  fleet.start(7);
+  trace::TraceSink& sink = fleet.world().sim.trace();
+  sink.set_observer(&observer);
+  fleet.run_to_completion();
+  const workload::FleetMetrics m = fleet.finish();
+  sink.set_observer(nullptr);
+  ASSERT_EQ(m.flows_completed, 1u);
+  ASSERT_FALSE(m.run.trace_events.empty());
 
-  std::set<trace::Kind> kinds;
-  for (const trace::Event& e : m.trace_events) kinds.insert(e.kind);
-  // One golden scenario, every instrumented layer present:
+  // One small scenario, every instrumented layer present:
+  const std::set<trace::Kind>& kinds = observer.kinds;
   EXPECT_TRUE(kinds.count(trace::Kind::kTcpState));     // tcp state machine
   EXPECT_TRUE(kinds.count(trace::Kind::kCwnd));         // tcp congestion
   EXPECT_TRUE(kinds.count(trace::Kind::kSrtt));         // tcp RTT estimator
@@ -58,18 +81,27 @@ TEST(TraceDeterminismTest, SmallScenarioCoversEveryInstrumentedLayer) {
   EXPECT_TRUE(kinds.count(trace::Kind::kRadioState));   // radio model
   EXPECT_TRUE(kinds.count(trace::Kind::kChannelRate));  // net channel
 
-  // The metrics registry rides along with non-trivial content.
-  ASSERT_FALSE(m.trace_metrics.empty());
+  // The retained stream holds only the retained kinds.
+  for (const trace::Event& e : m.run.trace_events) {
+    EXPECT_TRUE(trace::TraceSink::retained(e.kind)) << trace::to_string(e.kind);
+  }
+
+  // The metrics registry rides along with non-trivial content, including
+  // the scheduler counters that replace the per-pick events.
+  ASSERT_FALSE(m.run.trace_metrics.empty());
   bool saw_tcp_counter = false;
-  for (const auto& ms : m.trace_metrics) {
+  double sched_picks = 0.0;
+  for (const auto& ms : m.run.trace_metrics) {
     if (ms.name.rfind("tcp.", 0) == 0) saw_tcp_counter = true;
+    if (ms.name == "mptcp.sched_picks") sched_picks = ms.value;
   }
   EXPECT_TRUE(saw_tcp_counter);
+  EXPECT_GT(sched_picks, 0.0);
 
   // Timestamps never run backwards: the sink is filled from the
   // single-threaded event core in execution order.
-  for (std::size_t i = 1; i < m.trace_events.size(); ++i) {
-    EXPECT_GE(m.trace_events[i].t, m.trace_events[i - 1].t);
+  for (std::size_t i = 1; i < m.run.trace_events.size(); ++i) {
+    EXPECT_GE(m.run.trace_events[i].t, m.run.trace_events[i - 1].t);
   }
 }
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "sim/simulation.hpp"
 #include "stats/trace_export.hpp"
@@ -28,7 +29,7 @@ TEST(TraceSinkTest, MacroGateSkipsArgumentEvaluationWhenFullyOff) {
   };
   // Default state: retention off, flight recorder on — the macro must run
   // so the ring sees the event, but nothing lands in the trace stream.
-  EMPTCP_TRACE(sim, cwnd(stamp(), 1, 2, 3));
+  EMPTCP_TRACE(sim, tcp_state(stamp(), 1, "closed", "syn_sent"));
 #if EMPTCP_TRACE_COMPILED
   EXPECT_EQ(evals, 1);
   EXPECT_EQ(sim.trace().flight().total(), 1u);
@@ -40,7 +41,7 @@ TEST(TraceSinkTest, MacroGateSkipsArgumentEvaluationWhenFullyOff) {
   // Fully off (retention off + flight recorder off): neither the record
   // call nor its arguments run.
   sim.trace().flight_enable(false);
-  EMPTCP_TRACE(sim, cwnd(stamp(), 1, 2, 3));
+  EMPTCP_TRACE(sim, tcp_state(stamp(), 1, "closed", "syn_sent"));
 #if EMPTCP_TRACE_COMPILED
   EXPECT_EQ(evals, 1);
 #else
@@ -49,11 +50,11 @@ TEST(TraceSinkTest, MacroGateSkipsArgumentEvaluationWhenFullyOff) {
   EXPECT_EQ(sim.trace().size(), 0u);
 
   sim.trace().enable();
-  EMPTCP_TRACE(sim, cwnd(stamp(), 1, 2, 3));
+  EMPTCP_TRACE(sim, tcp_state(stamp(), 1, "closed", "syn_sent"));
 #if EMPTCP_TRACE_COMPILED
   EXPECT_EQ(evals, 2);
   ASSERT_EQ(sim.trace().size(), 1u);
-  EXPECT_EQ(sim.trace().events()[0].kind, Kind::kCwnd);
+  EXPECT_EQ(sim.trace().events()[0].kind, Kind::kTcpState);
 #else
   EXPECT_EQ(evals, 0);
   EXPECT_EQ(sim.trace().size(), 0u);
@@ -69,7 +70,15 @@ TEST(TraceSinkTest, TypedRecordsCarryTheirFields) {
   sink.energy_sample(sim::milliseconds(8), 2, "lte", 7.5, 1210.0);
   sink.warning(sim::milliseconds(9), "energy.byte_counter_backwards", 100, 10);
 
-  ASSERT_EQ(sink.size(), 5u);
+  // sched_pick is a per-ACK kind: the flight recorder has it, the
+  // retained stream does not.
+  const std::vector<Event> flight = sink.flight().tail();
+  ASSERT_EQ(flight.size(), 5u);
+  EXPECT_EQ(flight[1].kind, Kind::kSchedPick);
+  EXPECT_EQ(flight[1].i0, 4096);
+  EXPECT_EQ(flight[1].i1, 1460);
+
+  ASSERT_EQ(sink.size(), 4u);
   const auto& ev = sink.events();
   EXPECT_EQ(ev[0].kind, Kind::kTcpState);
   EXPECT_EQ(ev[0].t, sim::milliseconds(5));
@@ -77,24 +86,56 @@ TEST(TraceSinkTest, TypedRecordsCarryTheirFields) {
   EXPECT_STREQ(ev[0].label, "closed");
   EXPECT_STREQ(ev[0].label2, "syn_sent");
 
-  EXPECT_EQ(ev[1].kind, Kind::kSchedPick);
-  EXPECT_EQ(ev[1].i0, 4096);
-  EXPECT_EQ(ev[1].i1, 1460);
+  EXPECT_EQ(ev[1].kind, Kind::kMpPrio);
+  EXPECT_EQ(ev[1].i0, 1);
+  EXPECT_STREQ(ev[1].label2, "peer");
 
-  EXPECT_EQ(ev[2].kind, Kind::kMpPrio);
-  EXPECT_EQ(ev[2].i0, 1);
-  EXPECT_STREQ(ev[2].label2, "peer");
+  EXPECT_EQ(ev[2].kind, Kind::kEnergySample);
+  EXPECT_DOUBLE_EQ(ev[2].d0, 7.5);
+  EXPECT_DOUBLE_EQ(ev[2].d1, 1210.0);
 
-  EXPECT_EQ(ev[3].kind, Kind::kEnergySample);
-  EXPECT_DOUBLE_EQ(ev[3].d0, 7.5);
-  EXPECT_DOUBLE_EQ(ev[3].d1, 1210.0);
-
-  EXPECT_EQ(ev[4].kind, Kind::kWarning);
-  EXPECT_EQ(ev[4].i0, 100);
-  EXPECT_EQ(ev[4].i1, 10);
+  EXPECT_EQ(ev[3].kind, Kind::kWarning);
+  EXPECT_EQ(ev[3].i0, 100);
+  EXPECT_EQ(ev[3].i1, 10);
 
   sink.clear();
   EXPECT_EQ(sink.size(), 0u);
+}
+
+/// Records every event it is handed.
+struct CollectingObserver : EventObserver {
+  void on_trace_event(const Event& e) override { seen.push_back(e.kind); }
+  std::vector<Kind> seen;
+};
+
+TEST(TraceSinkTest, PerAckKindsReachFlightRecorderAndObserverButNotEvents) {
+  TraceSink sink;
+  sink.enable();
+  CollectingObserver obs;
+  sink.set_observer(&obs);
+  sink.cwnd(sim::milliseconds(1), 7, 14600, 65535);
+  sink.srtt(sim::milliseconds(2), 7, sim::milliseconds(50),
+            sim::milliseconds(300));
+  sink.sched_pick(sim::milliseconds(3), 1, "wifi", 4096, 1460);
+  sink.flow_start(sim::milliseconds(4), 7, 1000);
+
+  const std::vector<Kind> all{Kind::kCwnd, Kind::kSrtt, Kind::kSchedPick,
+                              Kind::kFlowStart};
+  EXPECT_EQ(obs.seen, all);
+  const std::vector<Event> flight = sink.flight().tail();
+  ASSERT_EQ(flight.size(), all.size());
+  for (std::size_t i = 0; i < all.size(); ++i) {
+    EXPECT_EQ(flight[i].kind, all[i]);
+  }
+  ASSERT_EQ(sink.size(), 1u);
+  EXPECT_EQ(sink.events()[0].kind, Kind::kFlowStart);
+
+  for (const Kind k : {Kind::kCwnd, Kind::kSrtt, Kind::kSchedPick}) {
+    EXPECT_FALSE(TraceSink::retained(k)) << to_string(k);
+  }
+  EXPECT_TRUE(TraceSink::retained(Kind::kTcpState));
+  EXPECT_TRUE(TraceSink::retained(Kind::kFlowComplete));
+  sink.set_observer(nullptr);
 }
 
 TEST(TraceSinkTest, KindNamesAreStable) {
@@ -175,15 +216,20 @@ TEST(TraceDiffTest, MissingTrailingLineReported) {
 }
 
 TEST(TraceExportTest, JsonlUsesPerKindSchemaNames) {
-  TraceSink sink;
-  sink.enable();
-  sink.tcp_state(sim::milliseconds(1), 7, "syn_sent", "established");
-  sink.cwnd(sim::milliseconds(2), 7, 14600, 65535);
-  sink.mode_change(sim::milliseconds(3), "all_paths", "wifi_only", 12.5, 9.0);
-  sink.metrics().counter("tcp.rtos").add(2);
+  // Built directly: the exporter serializes any event vector, including
+  // kinds the sink does not retain.
+  const std::vector<Event> events{
+      {sim::milliseconds(1), Kind::kTcpState, 7, "syn_sent", "established",
+       0, 0, 0.0, 0.0},
+      {sim::milliseconds(2), Kind::kCwnd, 7, nullptr, nullptr, 14600, 65535,
+       0.0, 0.0},
+      {sim::milliseconds(3), Kind::kModeChange, 0, "all_paths", "wifi_only",
+       0, 0, 12.5, 9.0},
+  };
+  Metrics metrics;
+  metrics.counter("tcp.rtos").add(2);
 
-  const std::string jsonl = stats::trace_to_jsonl(
-      sink.events(), sink.metrics().snapshot());
+  const std::string jsonl = stats::trace_to_jsonl(events, metrics.snapshot());
   const std::string expected =
       "{\"t_ns\":1000000,\"kind\":\"tcp_state\",\"flow\":7,"
       "\"from\":\"syn_sent\",\"to\":\"established\"}\n"
@@ -208,13 +254,13 @@ TEST(TraceExportTest, JsonlDoublesRoundTripShortest) {
 }
 
 TEST(TraceExportTest, CsvHasFixedColumnsAndOneRowPerEvent) {
-  TraceSink sink;
-  sink.enable();
-  sink.srtt(sim::milliseconds(4), 3, sim::milliseconds(50),
-            sim::milliseconds(300));
-  sink.warning(sim::milliseconds(5), "w", 1, 2);
+  const std::vector<Event> events{
+      {sim::milliseconds(4), Kind::kSrtt, 3, nullptr, nullptr,
+       sim::milliseconds(50), sim::milliseconds(300), 0.0, 0.0},
+      {sim::milliseconds(5), Kind::kWarning, 0, "w", nullptr, 1, 2, 0.0, 0.0},
+  };
 
-  const std::string csv = stats::trace_to_csv(sink.events());
+  const std::string csv = stats::trace_to_csv(events);
   EXPECT_EQ(csv.substr(0, csv.find('\n')),
             "t_ns,kind,id,label,label2,i0,i1,d0,d1");
   int lines = 0;
